@@ -623,6 +623,12 @@ impl Comm {
             }
             let waited = start.elapsed();
             if waited >= deadline || sh.done[from].load(Ordering::SeqCst) {
+                // A killed peer exits too, and may do so between the liveness
+                // check above and this one; its death is stored before its
+                // exit, so re-check it before calling the exit clean.
+                if !sh.alive[from].load(Ordering::SeqCst) {
+                    return Err(CommError::RankFailed { rank: self.rank, failed: from });
+                }
                 // A cleanly-exited peer will never send again: fail fast
                 // with the same deadline error a full wait would produce.
                 FaultStats::inc(&sh.stats.timeouts);
@@ -776,6 +782,10 @@ impl Comm {
             return Err(CommError::RankFailed { rank: self.rank, failed: from });
         }
         if sh.done[from].load(Ordering::SeqCst) {
+            // As in `pull`: a peer that died and then exited is a failure.
+            if !sh.alive[from].load(Ordering::SeqCst) {
+                return Err(CommError::RankFailed { rank: self.rank, failed: from });
+            }
             // A cleanly-exited peer will never send again: the missing
             // head-of-line message can't arrive, so fail fast as a blocking
             // recv would.

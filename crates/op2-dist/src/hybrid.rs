@@ -6,8 +6,9 @@
 //! [`op2_core`] sets/maps/dats, builds the five Airfoil loops against them,
 //! and executes each loop with any [`op2_hpx`] backend (fork-join, async,
 //! dataflow, …) on the rank's own thread pool. Between loops, the forward
-//! and reverse halo exchanges of [`crate::exec`] run on the dats' safe
-//! accessors.
+//! and reverse halo exchanges run on the dats' safe accessors, through the
+//! same pack/install/add-back, import-poll, RMS-harvest and result-collection
+//! helpers as the flat march.
 //!
 //! Loops that must only touch *owned* cells (`save_soln`, `update`) iterate
 //! the full local set but early-return for halo ids — redundant-but-idempotent
@@ -28,24 +29,28 @@
 //! to bulk for a fixed backend.
 //!
 //! Fault handling: all fabric errors surface as [`DistError`] values, and
-//! [`run_hybrid_opts`] accepts the same [`DistOptions`] as the flat
-//! executor for fault injection and deadline/retry tuning. Kill directives
-//! (and therefore checkpointed recovery) are **not** supported here — the
-//! per-rank OP2 runtime state cannot be re-partitioned mid-run; use
-//! [`crate::exec::run_distributed_opts`] for the recovery path.
+//! [`run_hybrid_opts`] honours the [`DistOptions`] fault plan, deadlines,
+//! retry budgets and overlap flag. Kill directives (and therefore
+//! checkpointed recovery) are **not** supported here — the per-rank OP2
+//! runtime state cannot be re-partitioned mid-run; use
+//! [`crate::exec::run_distributed_opts`] for the recovery path. Options the
+//! hybrid march would otherwise silently ignore (checkpointing, kernel
+//! faults, jitter, the durable store, halt/die points, renumbering) are
+//! rejected up front.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use op2_airfoil::kernels;
 use op2_airfoil::mesh::MeshData;
 use op2_airfoil::FlowConstants;
 use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
 use op2_hpx::{make_executor, BackendKind, Op2Runtime};
-use op2_trace::{pack2, EventKind, NO_NAME};
 
 use crate::exec::{DistError, DistOptions, DistReport};
-use crate::fabric::{Comm, CommError, Fabric, PendingReduce};
+use crate::fabric::{Comm, CommError};
+use crate::march::{
+    self, install_rows, pack_rows, recv_add, send_exports, ImportPoll, RankOut, Reports,
+};
 use crate::partition::{build_local, LocalMesh, Partition};
 
 /// March `niter` iterations on `nranks` ranks, each executing its loops with
@@ -66,45 +71,19 @@ pub fn run_hybrid(
 ) -> Result<DistReport, DistError> {
     let ncells = data.cell_nodes.len() / 4;
     let part = Partition::strips(ncells, nranks);
-    run_hybrid_with(data, consts, q0, &part, threads_per_rank, backend, niter, report_every)
+    let opts = DistOptions::default();
+    run_hybrid_opts(data, consts, q0, &part, threads_per_rank, backend, niter, report_every, &opts)
 }
 
-/// [`run_hybrid`] with an explicit partition (e.g. [`Partition::rcb`]).
-///
-/// # Errors
-/// See [`DistError`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_hybrid_with(
-    data: &MeshData,
-    consts: &FlowConstants,
-    q0: &[f64],
-    part: &Partition,
-    threads_per_rank: usize,
-    backend: BackendKind,
-    niter: usize,
-    report_every: usize,
-) -> Result<DistReport, DistError> {
-    run_hybrid_opts(
-        data,
-        consts,
-        q0,
-        part,
-        threads_per_rank,
-        backend,
-        niter,
-        report_every,
-        &DistOptions::default(),
-    )
-}
-
-/// [`run_hybrid_with`] plus fault injection and deadline/retry tuning.
+/// [`run_hybrid`] with an explicit partition (e.g. [`Partition::rcb`]) plus
+/// fault injection, deadline/retry tuning and overlap.
 ///
 /// # Errors
 /// See [`DistError`].
 ///
 /// # Panics
-/// Panics if the plan contains a kill directive (no recovery path here —
-/// see the module docs).
+/// Panics if the plan contains a kill directive, or if `opts` sets any
+/// option the hybrid march cannot honour (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn run_hybrid_opts(
     data: &MeshData,
@@ -123,61 +102,24 @@ pub fn run_hybrid_opts(
         opts.plan.as_ref().is_none_or(|p| p.kill.is_none()),
         "kill directives require the flat executor's recovery path"
     );
-
-    let mut builder = Fabric::builder(part.nranks).config(opts.config.clone());
-    if let Some(plan) = &opts.plan {
-        builder = builder.faults(plan.clone());
-    }
-    let run = builder
-        .launch(|comm| {
-            rank_main(
-                comm,
-                data,
-                consts,
-                q0,
-                part,
-                threads_per_rank,
-                backend,
-                niter,
-                report_every,
-                opts,
-            )
-        })
-        .map_err(DistError::Fabric)?;
-
-    let mut final_q = vec![0.0; 4 * ncells];
-    let mut rms = Vec::new();
-    let mut errors: Vec<(usize, CommError)> = Vec::new();
-    for (r, out) in run.results.into_iter().enumerate() {
-        let (owned_q, history) = match out {
-            Ok(v) => v,
-            Err(error) => {
-                errors.push((r, error));
-                continue;
-            }
-        };
-        for (i, &g) in part.owned_cells(r).iter().enumerate() {
-            final_q[4 * g as usize..4 * g as usize + 4]
-                .copy_from_slice(&owned_q[4 * i..4 * i + 4]);
-        }
-        if r == 0 {
-            rms = history;
-        }
-    }
-    if let Some((rank, error)) = crate::exec::root_cause(errors) {
-        return Err(DistError::Rank { rank, error });
-    }
-    Ok(DistReport {
-        rms,
-        final_q,
-        faults: run.faults,
-        recoveries: Vec::new(),
-        local_retries: 0,
-        adt_digest: 0,
-        res_digest: 0,
-        resumed_from: None,
-        ckpt: Default::default(),
+    assert!(
+        opts.checkpoint_every == 0
+            && opts.kernel_fault.is_none()
+            && opts.jitter.is_none()
+            && opts.store_dir.is_none()
+            && opts.store_faults.is_none()
+            && opts.halt_after.is_none()
+            && opts.die_at.is_none()
+            && !opts.renumber,
+        "the hybrid march cannot honour checkpoint_every, kernel_fault, jitter, store_dir, \
+         store_faults, halt_after, die_at or renumber"
+    );
+    march::launch::<4>(part.nranks, ncells, opts, |comm| {
+        rank_main(
+            comm, data, consts, q0, part, threads_per_rank, backend, niter, report_every, opts,
+        )
     })
+    .map(DistReport::from_run)
 }
 
 /// The per-rank OP2 declarations over the local mesh slice.
@@ -387,14 +329,13 @@ fn rank_main(
     niter: usize,
     report_every: usize,
     opts: &DistOptions,
-) -> Result<(Vec<f64>, Vec<(usize, f64)>), CommError> {
+) -> Result<RankOut, CommError> {
     let app = build_rank_app(data, consts, q0, part, comm.rank());
     let rt = Arc::new(Op2Runtime::new(threads, 64));
     let exec = make_executor(backend, rt);
-    let ncells_global = data.cell_nodes.len() / 4;
+    let (imports, exports) = (&app.local.imports, &app.local.exports);
 
-    let mut reports = Vec::new();
-    let mut pending_rms: Option<(usize, PendingReduce)> = None;
+    let mut reports = Reports::new(opts.overlap, data.cell_nodes.len() / 4);
     for iter in 1..=niter {
         comm.beat();
         // Exchanges touch the dats directly, so every issued loop must have
@@ -406,9 +347,19 @@ fn rank_main(
         let mut rms_local = 0.0;
         for stage in 0..2 {
             if opts.overlap {
-                hybrid_forward_send(&comm, &app.local, &app.q)?;
+                send_exports::<4>(&comm, exports, &app.q.data())?;
                 let owned = exec.execute(&app.adt_calc_owned);
-                hybrid_forward_poll(&comm, &app.local, &app.q, iter, stage, opts)?;
+                // Installs write only halo `q` slots while the loop reads
+                // only owned `q`, so the overlap is race-free.
+                let deadline = opts.config.recv_deadline;
+                let mut poll = ImportPoll::new(&comm, imports, deadline, iter, stage);
+                while poll.pending() {
+                    let landed = poll.pass(|gi, payload| {
+                        install_rows::<4>(&mut app.q.data_mut(), &imports[gi].1, payload);
+                        Ok(())
+                    })?;
+                    poll.settle(landed)?;
+                }
                 owned.wait();
                 exec.execute(&app.adt_calc_halo).wait();
             } else {
@@ -422,170 +373,61 @@ fn rank_main(
             rms_local += gbl[0];
         }
         if iter % report_every.max(1) == 0 || iter == niter {
-            if opts.overlap {
-                // Pipelined: harvest the previous report's reduction, post
-                // this one non-blocking. Completion order must follow post
-                // order (the collective channel is FIFO), and here the rms
-                // sum is the only collective in flight.
-                harvest_rms(&comm, &mut pending_rms, ncells_global, &mut reports)?;
-                let p = comm.iallreduce_sum(&[rms_local])?;
-                pending_rms = Some((iter, p));
-            } else {
-                let total = comm.allreduce_sum(&[rms_local])?[0];
-                reports.push((iter, (total / ncells_global as f64).sqrt()));
-            }
+            reports.post(&comm, iter, 0.0, rms_local)?;
         }
     }
-    harvest_rms(&comm, &mut pending_rms, ncells_global, &mut reports)?;
+    reports.harvest(&comm)?;
     exec.fence();
 
-    let q = app.q.to_vec();
-    Ok((q[..4 * app.local.nowned].to_vec(), reports))
+    let nowned = app.local.nowned;
+    let owned_w = app.q.data()[..4 * nowned].to_vec();
+    Ok(RankOut {
+        owned_g: app.local.cell_l2g[..nowned].to_vec(),
+        owned_w,
+        history: reports.done,
+        ..RankOut::default()
+    })
 }
 
-fn harvest_rms(
-    comm: &Comm,
-    pending: &mut Option<(usize, PendingReduce)>,
-    ncells_global: usize,
-    reports: &mut Vec<(usize, f64)>,
-) -> Result<(), CommError> {
-    if let Some((iter, p)) = pending.take() {
-        let total = comm.complete_reduce(p)?[0];
-        reports.push((iter, (total / ncells_global as f64).sqrt()));
-    }
-    Ok(())
-}
-
-const TAG_HYB_FORWARD: u64 = 300;
-
+/// Blocking forward exchange: send owned `q` rows, then receive and install
+/// each peer's halo rows in ascending peer order.
 fn hybrid_forward_exchange(
     comm: &Comm,
     local: &LocalMesh,
     q: &Dat<f64>,
 ) -> Result<(), CommError> {
-    hybrid_forward_send(comm, local, q)?;
+    send_exports::<4>(comm, &local.exports, &q.data())?;
     let mut qd = q.data_mut();
     for (peer, halo_locals) in &local.imports {
-        let payload = comm.recv(*peer, TAG_HYB_FORWARD)?;
-        install_halo(&mut qd, halo_locals, &payload);
+        let payload = comm.recv(*peer, march::TAG_FORWARD)?;
+        install_rows::<4>(&mut qd, halo_locals, &payload);
     }
     Ok(())
 }
 
-fn hybrid_forward_send(comm: &Comm, local: &LocalMesh, q: &Dat<f64>) -> Result<(), CommError> {
-    let qd = q.data();
-    for (peer, owned_locals) in &local.exports {
-        let mut payload = Vec::with_capacity(owned_locals.len() * 4);
-        for &l in owned_locals {
-            payload.extend_from_slice(&qd[4 * l as usize..4 * l as usize + 4]);
-        }
-        comm.send(*peer, TAG_HYB_FORWARD, payload)?;
-    }
-    Ok(())
-}
-
-fn install_halo(qd: &mut [f64], halo_locals: &[u32], payload: &[f64]) {
-    for (i, &l) in halo_locals.iter().enumerate() {
-        qd[4 * l as usize..4 * l as usize + 4].copy_from_slice(&payload[4 * i..4 * i + 4]);
-    }
-}
-
-/// Poll forward receives, installing each peer's halo block on arrival.
-///
-/// Runs on the rank thread while the owned-adt loop executes on the pool:
-/// installs write only halo `q` slots, the loop reads only owned `q`, so
-/// the overlap is race-free. A pass with no arrivals records a `halo-wait`
-/// span; a quiet period longer than the receive deadline synthesizes the
-/// same [`CommError::Timeout`] a blocking `recv` would have produced.
-fn hybrid_forward_poll(
-    comm: &Comm,
-    local: &LocalMesh,
-    q: &Dat<f64>,
-    iter: usize,
-    stage: usize,
-    opts: &DistOptions,
-) -> Result<(), CommError> {
-    let npeers = local.imports.len();
-    let mut got = vec![false; npeers];
-    let mut ngot = 0usize;
-    let mut last_progress = Instant::now();
-    while ngot < npeers {
-        let mut progressed = false;
-        for (gi, (peer, halo_locals)) in local.imports.iter().enumerate() {
-            if got[gi] {
-                continue;
-            }
-            if let Some(payload) = comm.try_recv(*peer, TAG_HYB_FORWARD)? {
-                install_halo(&mut q.data_mut(), halo_locals, &payload);
-                got[gi] = true;
-                ngot += 1;
-                progressed = true;
-            }
-        }
-        if progressed {
-            last_progress = Instant::now();
-        } else {
-            let span = op2_trace::begin();
-            comm.beat();
-            std::thread::sleep(Duration::from_micros(100));
-            op2_trace::end(
-                span,
-                EventKind::HaloWait,
-                NO_NAME,
-                pack2(comm.rank() as u32, (npeers - ngot) as u32),
-                pack2(iter as u32, stage as u32),
-            );
-            let waited = last_progress.elapsed();
-            if waited > opts.config.recv_deadline {
-                let from = local
-                    .imports
-                    .iter()
-                    .zip(&got)
-                    .find(|(_, g)| !**g)
-                    .map_or(0, |((p, _), _)| *p);
-                return Err(CommError::Timeout {
-                    rank: comm.rank(),
-                    from,
-                    tag: TAG_HYB_FORWARD,
-                    waited_ms: waited.as_millis() as u64,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
+/// Reverse exchange: ship the halo rows' accumulated residuals to their
+/// owners (zeroing them), then add the peers' contributions to owned rows.
 fn hybrid_reverse_exchange(
     comm: &Comm,
     local: &LocalMesh,
     res: &Dat<f64>,
 ) -> Result<(), CommError> {
-    const TAG: u64 = 400;
     let mut rd = res.data_mut();
     for (peer, halo_locals) in &local.imports {
-        let mut payload = Vec::with_capacity(halo_locals.len() * 4);
+        let payload = pack_rows::<4>(&rd, halo_locals);
         for &l in halo_locals {
-            payload.extend_from_slice(&rd[4 * l as usize..4 * l as usize + 4]);
             rd[4 * l as usize..4 * l as usize + 4].fill(0.0);
         }
-        comm.send(*peer, TAG, payload)?;
+        comm.send(*peer, march::TAG_REVERSE, payload)?;
     }
-    for (peer, owned_locals) in &local.exports {
-        let payload = comm.recv(*peer, TAG)?;
-        for (i, &l) in owned_locals.iter().enumerate() {
-            for k in 0..4 {
-                rd[4 * l as usize + k] += payload[4 * i + k];
-            }
-        }
-    }
-    Ok(())
+    recv_add::<4>(comm, &local.exports, &mut rd)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::run_distributed;
-    use crate::fabric::CommConfig;
+    use crate::fabric::{CommConfig, Fabric};
     use crate::fault::FaultPlan;
     use op2_airfoil::MeshBuilder;
     use std::time::Duration;
@@ -653,8 +495,18 @@ mod tests {
     fn hybrid_masks_injected_drops_bit_identically() {
         let (data, consts, q0) = setup();
         let part = Partition::strips(200, 2);
-        let clean = run_hybrid_with(&data, &consts, &q0, &part, 2, BackendKind::ForkJoin, 4, 2)
-            .unwrap();
+        let clean = run_hybrid_opts(
+            &data,
+            &consts,
+            &q0,
+            &part,
+            2,
+            BackendKind::ForkJoin,
+            4,
+            2,
+            &DistOptions::default(),
+        )
+        .unwrap();
         let opts = DistOptions {
             plan: Some(FaultPlan::drop_first(2)),
             ..DistOptions::default()
@@ -780,5 +632,15 @@ mod tests {
             Err(CommError::Timeout { rank: 0, from: 1, .. }) => {}
             other => panic!("expected Timeout, got {other:?}"),
         }
+    }
+
+    /// Options the hybrid march has no path for are refused, not ignored.
+    #[test]
+    #[should_panic(expected = "hybrid march cannot honour")]
+    fn hybrid_rejects_options_it_cannot_honour() {
+        let (data, consts, q0) = setup();
+        let part = Partition::strips(200, 2);
+        let opts = DistOptions { checkpoint_every: 2, ..DistOptions::default() };
+        let _ = run_hybrid_opts(&data, &consts, &q0, &part, 2, BackendKind::ForkJoin, 4, 2, &opts);
     }
 }

@@ -13,22 +13,31 @@
 //!   of cells, executes the edges anchored at its owned cells, and keeps
 //!   local copies of the neighbour cells those edges read
 //!   (OP2's import/export halo lists).
-//! * [`exec`] — the distributed time-march: per iteration a **forward
-//!   exchange** (owners push fresh `q` to the ranks importing it), redundant
-//!   `adt` computation over owned+halo cells, local flux accumulation, a
-//!   **reverse exchange** (halo `res` contributions flow back to owners and
-//!   are added in ascending-rank order, keeping runs deterministic), the
-//!   owned-cell update, and an `allreduce` of the RMS. With
-//!   [`exec::DistOptions::overlap`] the march is **futurized**: interior
+//! * one distributed time-march (private module `march`) shared by every
+//!   application: per stage a **forward exchange** (owners push fresh state
+//!   rows to the ranks importing them), redundant per-cell compute over the
+//!   import halo, local flux accumulation, a **reverse exchange** (halo
+//!   residual contributions flow back to owners and are added in
+//!   ascending-rank order, keeping runs deterministic), the owned-cell
+//!   update, and an `allreduce` of the RMS — plus checkpointing, recovery,
+//!   halt/die points, the durable-store opener and the renumbering wrapper.
+//!   With [`exec::DistOptions::overlap`] the march is **futurized**: interior
 //!   edges execute while halo receives are outstanding, each per-peer halo
 //!   block fires as its message lands (reverse sends leave early), and the
 //!   RMS reduction is pipelined through the fabric's non-blocking
 //!   `iallreduce` — bit-identical to the bulk-synchronous schedule because
 //!   halo-edge contributions route through per-group scratch merged in
-//!   canonical order either way.
-//! * [`swe`] — the same split applied to the shallow-water application
-//!   (3-component state, adaptive `dt` via an overlap-safe pipelined
-//!   max-reduction): the halo machinery is app-agnostic.
+//!   canonical order either way. An application supplies only its hooks:
+//!   component count, per-rank extra state, stages per iteration, the
+//!   per-cell / edge / boundary-edge kernels, an optional adaptive-step
+//!   max-reduction, and `update`.
+//! * [`exec`] — Airfoil's hooks (4 components, two stages, `adt_calc` as the
+//!   per-cell pass) and the public entry points, options and report types.
+//! * [`swe`] — the shallow-water hooks (3 components, one stage, adaptive
+//!   `dt` via an overlap-safe pipelined max-reduction).
+//! * [`hybrid`] — message passing between ranks with an OP2-HPX backend
+//!   running real [`op2_core::ParLoop`]s within each rank, on the march's
+//!   shared exchange, poll, harvest and collection helpers.
 //!
 //! Determinism: a given `(mesh, nranks)` always produces bit-identical
 //! results; with `nranks = 1` the execution order equals the single-node
@@ -42,7 +51,8 @@
 //! The fabric is hardened against an adversarial network and against rank
 //! loss; the error-handling spine is the [`fabric::CommError`] result type
 //! threaded through every fabric operation and up through
-//! [`exec::run_distributed`] / [`hybrid::run_hybrid`]:
+//! [`exec::run_distributed`] / [`swe::run_swe_distributed`] /
+//! [`hybrid::run_hybrid`]:
 //!
 //! * [`fault`] — a seeded, deterministic fault-injection shim
 //!   ([`fault::FaultPlan`]) that drops, duplicates, delays, reorders and
@@ -63,7 +73,10 @@
 //!   ([`partition::Partition::strips_over`]), restore from the newest
 //!   *consistent* checkpoint, and continue the march; the run report counts
 //!   faults injected, retries taken, and recoveries performed
-//!   ([`fault::FaultReport`]).
+//!   ([`fault::FaultReport`]). Both applications get this whole ladder from
+//!   the shared rank loop — local kernel retry, then checkpoint recovery —
+//!   and report it ([`exec::DistReport::recoveries`],
+//!   [`swe::SweDistReport::recoveries`]).
 //! * Durable restart — [`checkpoint::CheckpointStore::open_durable`] backs
 //!   the snapshots with the crash-consistent `op2-store` write-ahead log,
 //!   adding the bottom rung of the recovery ladder: local kernel retry →
@@ -82,19 +95,20 @@ pub mod exec;
 pub mod fabric;
 pub mod fault;
 pub mod hybrid;
+mod march;
 pub mod partition;
 pub mod swe;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, CkptStats};
 pub use exec::{
-    resume_distributed_opts, run_distributed, run_distributed_opts, run_distributed_with,
-    DistError, DistOptions, DistReport, JitterSpec, KernelFaultSpec, Recovery,
+    resume_distributed_opts, run_distributed, run_distributed_opts, DistError, DistOptions,
+    DistReport, JitterSpec, KernelFaultSpec, Recovery,
 };
 pub use fabric::{
     Comm, CommConfig, CommError, Fabric, FabricError, PendingReduce, COLLECTIVE_TAG_BIT,
 };
 pub use fault::{FaultPlan, FaultReport, KillSpec};
-pub use hybrid::{run_hybrid, run_hybrid_opts, run_hybrid_with};
+pub use hybrid::{run_hybrid, run_hybrid_opts};
 pub use partition::{
     cell_centroids, total_halo_cells, HaloGroup, HaloPlan, LocalMesh, Partition,
 };

@@ -14,8 +14,11 @@ across files. It checks two kinds of properties instead:
     value for the same metric.
 
 Supports ``BENCH_tune.json`` (bench_tune), ``BENCH_shm.json`` (bench_shm),
-``BENCH_store.json`` (bench_store), and ``BENCH_kernel.json``
-(bench_kernel); the schema is detected from the artifact's ``bench`` field.
+``BENCH_store.json`` (bench_store), ``BENCH_kernel.json`` (bench_kernel)
+and ``BENCH_dist.json`` (dist_overlap: for both applications, overlap must
+shrink communication wait by at least ``(1 - tolerance)`` of the baseline's
+shrink, and only the overlapped schedule may record halo-wait); the schema
+is detected from the artifact's ``bench`` field.
 """
 
 import json
@@ -212,6 +215,26 @@ def gate_kernel(gate, fresh, base):
     # final state only for matching march lengths, so they are not compared.
 
 
+def gate_dist(gate, fresh, base):
+    for app in ("airfoil", "shallow_water"):
+        f, b = fresh[app], base[app]
+        print(f"- {app}")
+        runs = {r["schedule"]: r for r in f["runs"]}
+        shrink, bshrink = f["comm_wait_shrink"], b["comm_wait_shrink"]
+        gate.check(shrink > 0, "overlap shrinks comm wait", f"shrink {shrink:.3f}")
+        # A shrink is a ratio of two waits on the same machine, so it ports
+        # across machines; it must keep most of the baseline's win.
+        floor = bshrink * (1.0 - gate.tolerance)
+        gate.check(
+            shrink >= floor,
+            "comm-wait shrink holds vs baseline",
+            f"fresh {shrink:.3f} vs baseline {bshrink:.3f}, floor {floor:.3f}",
+        )
+        bulk, lap = runs["bulk"]["halo_wait_ns"], runs["overlapped"]["halo_wait_ns"]
+        gate.check(bulk == 0, "bulk schedule records no halo-wait", f"{bulk} ns")
+        gate.check(lap > 0, "overlapped schedule records halo-wait", f"{lap} ns")
+
+
 def main():
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     tolerance = 0.25
@@ -235,6 +258,8 @@ def main():
         gate_store(gate, fresh, base)
     elif kind == "bench_kernel":
         gate_kernel(gate, fresh, base)
+    elif kind == "dist_overlap":
+        gate_dist(gate, fresh, base)
     else:
         sys.exit(f"unknown artifact kind {kind!r}")
     if gate.failures:
