@@ -7,9 +7,43 @@
 //! *work-helping* — a thread that must wait for an event keeps executing other
 //! pool tasks instead of blocking (see [`ThreadPool::try_execute_one`]), which
 //! is what makes `future.get()` deadlock-free even on a single-worker pool.
+//!
+//! # Sleep protocol
+//!
+//! Idle workers and helpers (threads in [`ThreadPool::help_until`]) sleep on
+//! an *eventcount*: one atomic word holding the number of registered
+//! sleepers (low 32 bits) and a wake epoch (high 32 bits), plus a mutex and
+//! condvar used only to block.
+//!
+//! * The pool counts tasks spawned and not yet taken. The count is raised
+//!   before a task is queued and lowered after it is taken, so it never reads
+//!   below the number of queued tasks.
+//! * A thread that has run a task since it last went idle first spins: it
+//!   polls the count (and its predicate) `SPIN_POLLS` times, yielding its
+//!   core every `SPIN_YIELD_EVERY` polls, and looks in the queues only when
+//!   the count is non-zero, so spinners stay off the queue locks that
+//!   spawning threads need. A cold thread skips the spin.
+//! * To sleep, it registers (adding one sleeper and reading the epoch in one
+//!   atomic step), then re-checks the queued count, the shutdown flag and
+//!   its predicate with no pool lock held, and only if all are still quiet
+//!   takes the lock and blocks — as long as the epoch has not moved — with a
+//!   timeout.
+//! * A notifier (a spawn, a completed future, an opened latch, shutdown)
+//!   publishes its event first, then loads the word; only when someone is
+//!   registered does it take the lock, bump the epoch and signal.
+//!
+//! A `SeqCst` fence between each side's write and read means either the
+//! sleeper's re-check sees the event or the notifier sees the registration,
+//! and an epoch bump after registration makes the sleeper skip or leave its
+//! wait, so no wakeup is lost.
+//!
+//! **Lock-order rule:** the pool's lock is a leaf. It is held only to read
+//! the epoch and wait, or to bump the epoch and signal; no caller predicate,
+//! queue operation or foreign lock is ever taken under it. Notifiers may hold
+//! their own locks (a future's state) when they notify.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,13 +87,46 @@ pub trait Pool: Send + Sync {
     }
 }
 
+/// Polls a hot thread makes before it parks (see the module docs).
+const SPIN_POLLS: u32 = 2000;
+/// A spinning thread yields its core once every this many polls.
+const SPIN_YIELD_EVERY: u32 = 16;
+/// Longest a worker blocks before it re-checks the queues on its own.
+const WORKER_PARK: Duration = Duration::from_millis(5);
+/// Longest a helper blocks before it re-checks its predicate on its own,
+/// bounding the latency of a predicate that changes without a notify.
+const HELPER_PARK: Duration = Duration::from_micros(200);
+
+/// One registered sleeper in [`Inner::sleep`].
+const SLEEPER: u64 = 1;
+/// One wake epoch in [`Inner::sleep`].
+const EPOCH: u64 = 1 << 32;
+
+/// Keeps a value on its own cache line, away from the pool's other counters
+/// (128 bytes also covers adjacent-line prefetch). Sharing a line with the
+/// per-task metrics cost the fork-join arm about 30% of its throughput on
+/// Airfoil's fine-grained loops.
+#[repr(align(128))]
+struct OwnLine<T>(T);
+
 struct Inner {
     injector: Injector<Task>,
     stealers: Vec<Stealer<Task>>,
     num_threads: usize,
     shutdown: AtomicBool,
-    /// Number of workers currently parked, guarded by `sleep_lock`.
-    sleepers: Mutex<usize>,
+    /// Tasks spawned and not yet taken: raised before a task is queued and
+    /// lowered after it is taken, so it never reads below the number of
+    /// queued tasks. Spinners poll it, so it gets a cache line of its own.
+    /// `Relaxed` throughout: it publishes no data (tasks travel through the
+    /// queues' locks), and the fences in `notify` and `park` order it
+    /// against a sleeper's registration.
+    queued: OwnLine<AtomicUsize>,
+    /// The eventcount: registered sleepers in the low 32 bits, wake epoch in
+    /// the high 32 bits (see the module docs). Epoch bumps and the sleeper's
+    /// epoch check happen under `sleep_lock`, which orders them.
+    sleep: AtomicU64,
+    /// Held only to check the epoch and block, or to bump it and signal.
+    sleep_lock: Mutex<()>,
     wakeup: Condvar,
     metrics: PoolMetrics,
     /// Rotating start index so helpers don't always steal from worker 0.
@@ -68,6 +135,10 @@ struct Inner {
 
 thread_local! {
     static CURRENT: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
+    /// Set when this thread runs a pool task, cleared when it goes idle: a
+    /// thread that goes idle hot spins before it parks, a cold one parks at
+    /// once.
+    static HOT: Cell<bool> = const { Cell::new(false) };
 }
 
 struct WorkerCtx {
@@ -126,7 +197,9 @@ impl PoolBuilder {
             stealers,
             num_threads: n,
             shutdown: AtomicBool::new(false),
-            sleepers: Mutex::new(0),
+            queued: OwnLine(AtomicUsize::new(0)),
+            sleep: AtomicU64::new(0),
+            sleep_lock: Mutex::new(()),
             wakeup: Condvar::new(),
             metrics: PoolMetrics::default(),
             steal_seed: AtomicUsize::new(0),
@@ -163,27 +236,6 @@ impl ThreadPool {
         &self.inner.metrics
     }
 
-    /// Schedule a task for execution.
-    ///
-    /// From a worker thread of this pool the task goes to the worker's local
-    /// deque; from any other thread it goes to the global injector.
-    pub(crate) fn spawn_task(&self, task: Task) {
-        self.inner.metrics.tasks_spawned.fetch_add(1, Ordering::Relaxed);
-        op2_trace::instant(op2_trace::EventKind::TaskSpawn, op2_trace::NO_NAME, 0, 0);
-        let mut task = Some(task);
-        CURRENT.with(|c| {
-            if let Some(ctx) = c.borrow().as_ref() {
-                if std::ptr::eq(Arc::as_ptr(&ctx.inner), Arc::as_ptr(&self.inner)) {
-                    ctx.local.push(task.take().expect("task consumed twice"));
-                }
-            }
-        });
-        if let Some(task) = task {
-            self.inner.injector.push(task);
-        }
-        self.inner.notify_one();
-    }
-
     /// True if the calling thread is a worker of this pool.
     pub fn is_worker_thread(&self) -> bool {
         CURRENT.with(|c| {
@@ -207,9 +259,11 @@ impl ThreadPool {
     /// Block the calling thread until `pred` returns true, running pool tasks
     /// while waiting.
     ///
-    /// When no task is available the thread parks on the pool's wakeup condvar
-    /// with a short timeout, bounding the latency of events signalled from
-    /// outside the pool (e.g. an external [`crate::Promise`]).
+    /// When no task is available the thread spins briefly if it has just run
+    /// a task, then parks until notified (see the module docs). Futures and
+    /// latches notify when they open; the park also times out after a short
+    /// while, bounding the latency of a predicate that changes without a
+    /// notify. `pred` is never called under a pool lock.
     pub fn help_until(&self, pred: impl FnMut() -> bool) {
         self.inner.help_until(pred);
     }
@@ -251,7 +305,7 @@ impl Pool for ThreadPool {
     }
 
     fn spawn_boxed(&self, task: Task) {
-        self.spawn_task(task);
+        self.inner.spawn(task);
     }
 
     fn try_execute_one(&self) -> bool {
@@ -295,20 +349,7 @@ impl Spawner {
         match &self.kind {
             SpawnerKind::Threads(weak) => {
                 if let Some(inner) = weak.upgrade() {
-                    inner.metrics.tasks_spawned.fetch_add(1, Ordering::Relaxed);
-                    op2_trace::instant(op2_trace::EventKind::TaskSpawn, op2_trace::NO_NAME, 0, 0);
-                    let mut task = Some(task);
-                    CURRENT.with(|c| {
-                        if let Some(ctx) = c.borrow().as_ref() {
-                            if std::ptr::eq(Arc::as_ptr(&ctx.inner), Arc::as_ptr(&inner)) {
-                                ctx.local.push(task.take().expect("task consumed twice"));
-                            }
-                        }
-                    });
-                    if let Some(task) = task {
-                        inner.injector.push(task);
-                    }
-                    inner.notify_one();
+                    inner.spawn(task);
                     Ok(())
                 } else {
                     Err(task)
@@ -373,7 +414,7 @@ impl Spawner {
         match &self.kind {
             SpawnerKind::Threads(weak) => {
                 if let Some(inner) = weak.upgrade() {
-                    inner.notify_all();
+                    inner.notify(true);
                 }
             }
             // The deterministic pool is single-threaded and never parks:
@@ -385,17 +426,88 @@ impl Spawner {
 }
 
 impl Inner {
-    fn notify_one(&self) {
-        // Only take the lock when somebody might be asleep.
-        let sleepers = self.sleepers.lock();
-        if *sleepers > 0 {
+    /// Schedule a task: onto the calling worker's local deque when it is a
+    /// worker of this pool, else onto the global injector; then wake one
+    /// sleeper.
+    fn spawn(&self, task: Task) {
+        self.metrics.tasks_spawned.fetch_add(1, Ordering::Relaxed);
+        op2_trace::instant(op2_trace::EventKind::TaskSpawn, op2_trace::NO_NAME, 0, 0);
+        self.queued.0.fetch_add(1, Ordering::Relaxed);
+        let mut task = Some(task);
+        CURRENT.with(|c| {
+            if let Some(ctx) = c.borrow().as_ref() {
+                if std::ptr::eq(Arc::as_ptr(&ctx.inner), self as *const Inner) {
+                    ctx.local.push(task.take().expect("task consumed twice"));
+                }
+            }
+        });
+        if let Some(task) = task {
+            self.injector.push(task);
+        }
+        self.notify(false);
+    }
+
+    /// Wake one (`all == false`) or every registered sleeper, after the
+    /// caller has published its event (queued a task, readied a future).
+    fn notify(&self, all: bool) {
+        // Pairs with the fence in `park`: either the sleeper's re-check sees
+        // the caller's event, or this load sees the sleeper's registration.
+        fence(Ordering::SeqCst);
+        if self.sleep.load(Ordering::Relaxed) & (EPOCH - 1) == 0 {
+            return;
+        }
+        let _guard = self.sleep_lock.lock();
+        self.sleep.fetch_add(EPOCH, Ordering::Relaxed);
+        if all {
+            self.wakeup.notify_all();
+        } else {
             self.wakeup.notify_one();
         }
     }
 
-    fn notify_all(&self) {
-        let _guard = self.sleepers.lock();
-        self.wakeup.notify_all();
+    /// Whether a task may be queued (lock-free; never false while one is).
+    fn has_work(&self) -> bool {
+        self.queued.0.load(Ordering::Relaxed) != 0
+    }
+
+    /// One idle step of a thread that found no task: spin if it is hot, then
+    /// park until notified or `timeout`. `done` is the caller's exit
+    /// condition. Returns `true` if the thread actually blocked.
+    fn idle(&self, timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+        if HOT.replace(false) {
+            for poll in 1..=SPIN_POLLS {
+                if done() || (self.has_work() && self.try_execute_one()) {
+                    return false;
+                }
+                if poll % SPIN_YIELD_EVERY == 0 {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+        self.park(timeout, || done() || self.has_work())
+    }
+
+    /// Register as a sleeper, re-check `ready` with no lock held, and block
+    /// until the epoch moves or `timeout` passes. Returns `true` if the
+    /// thread actually blocked.
+    fn park(&self, timeout: Duration, ready: impl FnOnce() -> bool) -> bool {
+        let epoch = self.sleep.fetch_add(SLEEPER, Ordering::SeqCst) / EPOCH;
+        // Pairs with the fence in `notify` (see there).
+        fence(Ordering::SeqCst);
+        let blocked = !ready() && {
+            let mut guard = self.sleep_lock.lock();
+            let quiet = self.sleep.load(Ordering::Relaxed) / EPOCH == epoch;
+            if quiet {
+                let span = op2_trace::begin();
+                self.wakeup.wait_for(&mut guard, timeout);
+                op2_trace::end(span, op2_trace::EventKind::Park, op2_trace::NO_NAME, 0, 0);
+            }
+            quiet
+        };
+        self.sleep.fetch_sub(SLEEPER, Ordering::Relaxed);
+        blocked
     }
 
     /// Find a runnable task: local deque first (on a worker of this pool),
@@ -446,6 +558,8 @@ impl Inner {
 
     fn try_execute_one(&self) -> bool {
         if let Some(task) = self.find_task() {
+            self.queued.0.fetch_sub(1, Ordering::Relaxed);
+            HOT.set(true);
             self.metrics.tasks_executed.fetch_add(1, Ordering::Relaxed);
             let span = op2_trace::begin();
             task();
@@ -459,16 +573,7 @@ impl Inner {
     fn help_until(&self, mut pred: impl FnMut() -> bool) {
         while !pred() {
             if !self.try_execute_one() {
-                let mut sleepers = self.sleepers.lock();
-                if pred() {
-                    return;
-                }
-                *sleepers += 1;
-                let span = op2_trace::begin();
-                self.wakeup
-                    .wait_for(&mut sleepers, Duration::from_micros(200));
-                op2_trace::end(span, op2_trace::EventKind::Park, op2_trace::NO_NAME, 0, 0);
-                *sleepers -= 1;
+                self.idle(HELPER_PARK, &mut pred);
             }
         }
     }
@@ -488,13 +593,9 @@ fn worker_main(inner: Arc<Inner>, local: Worker<Task>) {
         if inner.shutdown.load(Ordering::Acquire) {
             break;
         }
-        inner.metrics.parks.fetch_add(1, Ordering::Relaxed);
-        let mut sleepers = inner.sleepers.lock();
-        *sleepers += 1;
-        let span = op2_trace::begin();
-        inner.wakeup.wait_for(&mut sleepers, Duration::from_millis(5));
-        op2_trace::end(span, op2_trace::EventKind::Park, op2_trace::NO_NAME, 0, 0);
-        *sleepers -= 1;
+        if inner.idle(WORKER_PARK, || inner.shutdown.load(Ordering::Acquire)) {
+            inner.metrics.parks.fetch_add(1, Ordering::Relaxed);
+        }
     }
     CURRENT.with(|c| {
         *c.borrow_mut() = None;
@@ -504,7 +605,7 @@ fn worker_main(inner: Arc<Inner>, local: Worker<Task>) {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.notify_all();
+        self.inner.notify(true);
         // The last owner of the pool may be a task closure dropped *on a
         // worker* (e.g. a dataflow body whose caller already observed the
         // promise and released its runtime). That worker cannot join itself
